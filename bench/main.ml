@@ -8,7 +8,8 @@
 
    plus ablations and baselines:
 
-     ablation-incremental  full vs keyed (incremental) view computation (§6.4)
+     ablation-incremental  full vs keyed (incremental) view computation (§6.4),
+                           plus the BLinkTree scaling row and its gates
      ablation-naive        naive serialization enumeration vs commit-order
                            witness (§2's "4! ways")
      baseline-atomizer     Lipton-reduction atomicity vs refinement (§8)
@@ -238,6 +239,104 @@ let table3 () =
 
 (* -------------------------------------------------- ablation: §6.4 views *)
 
+(* BLinkTree at growing sizes: a single thread inserts [live] distinct keys
+   from [0, 2 live), then four threads insert, delete and look up keys from
+   the same range (inserts and deletes equally likely, so about [live] keys
+   stay live) while the compressor runs.  Both views check the steady phase
+   only: the incremental checker is fed the fill, and its snapshot is
+   restored into the chain-walk checker, which would otherwise spend
+   O(live) per fill commit.  Gates: equal verdicts, and keys compared per
+   commit (a count, so it cannot flake on timing) at the largest size at
+   most twice that at the smallest. *)
+let ablation_blink_scaling () =
+  let module Bt = Vyrd_boxwood.Blink_tree in
+  let session live =
+    let log = Log.create ~level:`View () in
+    let fill_end = ref 0 in
+    Vyrd_sched.Coop.run ~seed:live (fun s ->
+        let ctx = Instrument.make s log in
+        let tree = Bt.create (Vyrd_boxwood.Bnode.mem_store ctx) ctx in
+        let rng = Prng.create live in
+        let inserted = Hashtbl.create live in
+        while Hashtbl.length inserted < live do
+          let k = Prng.int rng (2 * live) in
+          if not (Hashtbl.mem inserted k) then begin
+            Hashtbl.replace inserted k ();
+            Bt.insert tree k (Prng.int rng 1000)
+          end
+        done;
+        fill_end := Log.length log;
+        let stop = ref false in
+        s.spawn (fun () ->
+            while not !stop do
+              Bt.compress tree;
+              s.yield ()
+            done);
+        let remaining = ref 4 in
+        for t = 1 to 4 do
+          s.spawn (fun () ->
+              let rng = Prng.create ((live * 31) + t) in
+              for _ = 1 to 150 do
+                let k = Prng.int rng (2 * live) in
+                match Prng.int rng 10 with
+                | 0 | 1 | 2 -> Bt.insert tree k (Prng.int rng 1000)
+                | 3 | 4 | 5 -> ignore (Bt.delete tree k)
+                | _ -> ignore (Bt.lookup tree k)
+              done;
+              decr remaining;
+              if !remaining = 0 then stop := true)
+        done);
+    (Log.snapshot log, !fill_end)
+  in
+  let steady (c : Checker.t) events fill_end =
+    let commits0 = (Checker.report c).Report.stats.commits_resolved in
+    let keys0 = Checker.view_projections c in
+    let fail = ref None in
+    let t0 = Unix.gettimeofday () in
+    for i = fill_end to Array.length events - 1 do
+      match Checker.feed c events.(i) with
+      | Some _ when !fail = None -> fail := Some i
+      | _ -> ()
+    done;
+    let dt = Unix.gettimeofday () -. t0 in
+    let report = Checker.report c in
+    let commits = report.Report.stats.commits_resolved - commits0 in
+    ( Report.tag report,
+      !fail,
+      dt *. 1e9 /. float_of_int (max 1 commits),
+      float_of_int (Checker.view_projections c - keys0) /. float_of_int (max 1 commits),
+      commits )
+  in
+  Fmt.pr "@.BLinkTree, steady phase after a fill (4 threads x 150 ops + compressor):@.@.";
+  Fmt.pr "%6s %8s %8s %14s %14s %9s %10s@." "live" "events" "commits" "full ns/commit"
+    "incr ns/commit" "speed-up" "keys/commit";
+  Fmt.pr "%s@." (line 75);
+  let rows =
+    List.map
+      (fun live ->
+        let events, fill_end = session live in
+        let incr = Checker.create ~mode:`View ~view:Bt.viewdef_keyed Bt.spec in
+        for i = 0 to fill_end - 1 do
+          ignore (Checker.feed incr events.(i))
+        done;
+        let full = Checker.create ~mode:`View ~view:Bt.viewdef Bt.spec in
+        (match Checker.snapshot incr with
+        | Some st -> Checker.restore full st
+        | None -> failwith "ablation: the fill convicted");
+        let ftag, ffail, fns, _, _ = steady full events fill_end in
+        let itag, ifail, ins, keys, commits = steady incr events fill_end in
+        Fmt.pr "%6d %8d %8d %14.0f %14.0f %8.1fx %10.2f@." live
+          (Array.length events - fill_end)
+          commits fns ins (fns /. ins) keys;
+        (live, (ftag, ffail) = (itag, ifail), keys))
+      [ 256; 1024; 4096 ]
+  in
+  let agree = List.for_all (fun (_, same, _) -> same) rows in
+  let keys_at n = List.assoc n (List.map (fun (n, _, k) -> (n, k)) rows) in
+  let flat = keys_at 4096 <= 2. *. keys_at 256 in
+  Fmt.pr "@.verdicts (tag, index) agree: %b; keys/commit at 4096 <= 2x at 256: %b@." agree flat;
+  if not (agree && flat) then exit 1
+
 let ablation_incremental () =
   Fmt.pr "@.Ablation (§6.4): full re-traversal vs incremental (keyed) views@.@.";
   let chunks = 64 and buf_size = 8 in
@@ -292,11 +391,12 @@ let ablation_incremental () =
   Fmt.pr "%s@." (line 40);
   Fmt.pr "%-28s %10s@." "full re-traversal" (Fmt.str "%a" pp_ms full_ns);
   Fmt.pr "%-28s %10s@." "incremental (keyed)" (Fmt.str "%a" pp_ms keyed_ns);
-  Fmt.pr "@.speedup: %.2fx; keyed recomputed %d key projections over %d commits@."
+  Fmt.pr "@.speedup: %.2fx; keyed compared %d keys over %d commits@."
     (full_ns /. keyed_ns)
     (Checker.view_projections keyed_checker)
     commits;
-  Fmt.pr "(full mode recomputes all %d keys at each of the %d commits)@." chunks commits
+  Fmt.pr "(full mode recomputes all %d keys at each of the %d commits)@." chunks commits;
+  ablation_blink_scaling ()
 
 (* ---------------------------------------------- ablation: §2 naive search *)
 

@@ -203,7 +203,18 @@ let rec insert_sep t ~level ~expected sep nh stack =
           else false)
     in
     if not made_root then begin
-      (* the root moved above us; descend to [level] to find the parent *)
+      (* the root moved above us; descend to [level] to find the parent.
+         The split node may instead be a right sibling of a root whose own
+         split has not raised a new root yet: wait for that root. *)
+      let rec root_at_level () =
+        let h, n = locked_root t in
+        if n.Bnode.level >= level then (h, n)
+        else begin
+          unlock t h;
+          t.ctx.Instrument.sched.Sched.yield ();
+          root_at_level ()
+        end
+      in
       let rec descend_to_level ~stack (h, n) =
         let h, n = move_right t sep (h, n) in
         if n.Bnode.level = level then (h, n, stack)
@@ -215,7 +226,7 @@ let rec insert_sep t ~level ~expected sep nh stack =
           descend_to_level ~stack:(h :: stack) (ch, t.store.Bnode.read_node ch)
         end
       in
-      let p, pn, stack' = descend_to_level ~stack:[] (locked_root t) in
+      let p, pn, stack' = descend_to_level ~stack:[] (root_at_level ()) in
       add_sep t ~level ~sep ~nh (p, pn) stack'
     end
 
@@ -487,6 +498,9 @@ let compress t =
 
 (* --- view ---------------------------------------------------------------- *)
 
+(* The chain-walk view, kept as the independent oracle for [viewdef_keyed]:
+   decode every node from the root pointer down the leftmost spine, then
+   along right links, on every call. *)
 let viewdef : View.t =
   View.Full
     (fun lookup ->
@@ -511,22 +525,202 @@ let viewdef : View.t =
                   pairs :=
                     (Repr.Int k, Repr.Pair (Repr.Int v, Repr.Int r)) :: !pairs;
                   collect ks vs rs
-                | _ -> ()  (* malformed shadow node: contribute nothing *)
+                | _ -> ()  (* malformed shadow node: contribute no more pairs *)
               in
               collect n.Bnode.keys n.Bnode.vals n.Bnode.vers
             end;
             Option.iter chain n.Bnode.right
         end
       in
-      let rec leftmost h =
+      (* a spine that cannot reach a leaf — an internal node without
+         children, or a first child already passed — yields no chain *)
+      let rec leftmost seen h =
         match node_of h with
-        | Some n when not (Bnode.leaf n) -> leftmost (List.hd n.Bnode.children)
-        | Some _ | None -> h
+        | Some n when not (Bnode.leaf n) -> (
+          match n.Bnode.children with
+          | c :: _ when not (List.mem c (h :: seen)) -> leftmost (h :: seen) c
+          | _ -> None)
+        | Some _ | None -> Some h
       in
       (match lookup "tree.root" with
-      | Some (Repr.Int rid) -> chain (leftmost rid)
+      | Some (Repr.Int rid) -> Option.iter chain (leftmost [] rid)
       | Some _ | None -> ());
       View.canonical_of_assoc !pairs)
+
+(* The incremental view: the same pairs as [viewdef], from a decoded copy of
+   every node and the set of handles the chain walk visits.  A commit
+   decodes only its dirty nodes and diffs their pairs.  The chain is walked
+   again (over the decoded copies) only when its start moves or a chain
+   node's right link changes in a way other than a split, which inserts one
+   new node whose right link is the old one of its left neighbour. *)
+type chain = {
+  nodes : (int, Bnode.t) Hashtbl.t;  (* well-formed shadow nodes *)
+  mutable root : int option;
+  mutable spine : int list;  (* handles the leftmost descent visits *)
+  mutable start : int option;  (* where the chain walk begins *)
+  mutable on_chain : (int, unit) Hashtbl.t;  (* handles the chain walk visits *)
+  before : (int, Bnode.t option) Hashtbl.t;  (* per commit: dirty nodes, old copy *)
+}
+
+let handle_of_var var =
+  let n = String.length var in
+  if n > 6 && String.starts_with ~prefix:"node[" var && var.[n - 1] = ']' then
+    let digits = String.sub var 5 (n - 6) in
+    match int_of_string_opt digits with
+    | Some h when string_of_int h = digits -> Some h
+    | Some _ | None -> None
+  else None
+
+let node_pairs = function
+  | Some n when not n.Bnode.dead ->
+    let rec go keys vals vers =
+      match (keys, vals, vers) with
+      | k :: ks, v :: vs, r :: rs ->
+        (Repr.Int k, Repr.Pair (Repr.Int v, Repr.Int r)) :: go ks vs rs
+      | _ -> []
+    in
+    go n.Bnode.keys n.Bnode.vals n.Bnode.vers
+  | Some _ | None -> []
+
+(* Edit the bag from [old]'s pairs to [now]'s, skipping the pairs both
+   hold (a leaf holds a handful). *)
+let diff_pairs (edit : View.edit) old now =
+  let equal (k, v) (k', v') = Repr.equal k k' && Repr.equal v v' in
+  let rec drop p = function
+    | [] -> None
+    | q :: rest -> if equal p q then Some rest else Option.map (List.cons q) (drop p rest)
+  in
+  let added =
+    List.fold_left
+      (fun added ((k, v) as p) ->
+        match drop p added with
+        | Some added -> added
+        | None ->
+          edit.remove k v;
+          added)
+      now old
+  in
+  List.iter (fun (k, v) -> edit.add k v) added
+
+let descend nodes root =
+  let rec go spine h =
+    let spine = h :: spine in
+    match Hashtbl.find_opt nodes h with
+    | Some n when not (Bnode.leaf n) -> (
+      match n.Bnode.children with
+      | c :: _ when not (List.mem c spine) -> go spine c
+      | _ -> (None, spine))
+    | Some _ | None -> (Some h, spine)
+  in
+  go [] root
+
+(* what the leftmost descent reads of a node *)
+let spine_step = function
+  | Some n when not (Bnode.leaf n) -> Some (List.nth_opt n.Bnode.children 0)
+  | Some _ | None -> None
+
+(* what the chain walk reads of a node: whether it decodes, and its link *)
+let link = Option.map (fun n -> n.Bnode.right)
+
+let walk c =
+  let seen = Hashtbl.create (2 * Hashtbl.length c.on_chain + 16) in
+  let rec go h =
+    if not (Hashtbl.mem seen h) then begin
+      Hashtbl.add seen h ();
+      match Hashtbl.find_opt c.nodes h with
+      | Some n -> Option.iter go n.Bnode.right
+      | None -> ()
+    end
+  in
+  Option.iter go c.start;
+  seen
+
+let update c lookup dirty (edit : View.edit) =
+  let root_dirty = ref false in
+  List.iter
+    (fun var ->
+      if var = "tree.root" then root_dirty := true
+      else
+        match handle_of_var var with
+        | None -> ()
+        | Some h ->
+          Hashtbl.replace c.before h (Hashtbl.find_opt c.nodes h);
+          (match lookup var with
+          | Some r -> (
+            match Bnode.of_repr r with
+            | n -> Hashtbl.replace c.nodes h n
+            | exception Repr.Parse_error _ -> Hashtbl.remove c.nodes h)
+          | None -> Hashtbl.remove c.nodes h))
+    dirty;
+  let now h = Hashtbl.find_opt c.nodes h in
+  let was h = match Hashtbl.find_opt c.before h with Some old -> old | None -> now h in
+  if !root_dirty then
+    c.root <- (match lookup "tree.root" with Some (Repr.Int r) -> Some r | Some _ | None -> None);
+  let spine_moved =
+    !root_dirty
+    || Hashtbl.fold
+         (fun h old acc -> acc || (List.mem h c.spine && spine_step old <> spine_step (now h)))
+         c.before false
+  in
+  let start_moved =
+    spine_moved
+    && begin
+         let start, spine = match c.root with Some r -> descend c.nodes r | None -> (None, []) in
+         c.spine <- spine;
+         let moved = start <> c.start in
+         c.start <- start;
+         moved
+       end
+  in
+  let relinked =
+    Hashtbl.fold
+      (fun h old acc ->
+        if Hashtbl.mem c.on_chain h && link old <> link (now h) then h :: acc else acc)
+      c.before []
+  in
+  let split =
+    match relinked with
+    | [ l ] when not start_moved -> (
+      match (was l, now l) with
+      | Some old, Some { Bnode.right = Some s; _ } when not (Hashtbl.mem c.on_chain s) -> (
+        match now s with
+        | Some sn when sn.Bnode.right = old.Bnode.right -> Some s
+        | Some _ | None -> None)
+      | _ -> None)
+    | _ -> None
+  in
+  let diff h = diff_pairs edit (node_pairs (was h)) (node_pairs (now h)) in
+  let diff_dirty_on_chain () =
+    Hashtbl.iter (fun h _ -> if Hashtbl.mem c.on_chain h then diff h) c.before
+  in
+  (match (relinked, split) with
+  | [], _ when not start_moved -> diff_dirty_on_chain ()
+  | _, Some s ->
+    diff_dirty_on_chain ();
+    Hashtbl.add c.on_chain s ();
+    diff_pairs edit [] (node_pairs (now s))
+  | _ ->
+    let fresh = walk c in
+    Hashtbl.iter
+      (fun h () -> if not (Hashtbl.mem fresh h) then diff_pairs edit (node_pairs (was h)) [])
+      c.on_chain;
+    Hashtbl.iter
+      (fun h () ->
+        if not (Hashtbl.mem c.on_chain h) then diff_pairs edit [] (node_pairs (now h))
+        else if Hashtbl.mem c.before h then diff h)
+      fresh;
+    c.on_chain <- fresh);
+  Hashtbl.reset c.before
+
+let viewdef_keyed : View.t =
+  View.Keyed
+    {
+      start =
+        (fun () ->
+          update
+            { nodes = Hashtbl.create 256; root = None; spine = []; start = None;
+              on_chain = Hashtbl.create 64; before = Hashtbl.create 16 });
+    }
 
 (* --- specification ------------------------------------------------------- *)
 
@@ -577,6 +771,14 @@ module S = struct
          (fun k (v, r) acc -> (Repr.Int k, Repr.Pair (Repr.Int v, Repr.Int r)) :: acc)
          st [])
 
+  let view_at st = function
+    | Repr.Int k ->
+      Option.map (fun (v, r) -> Repr.Pair (Repr.Int v, Repr.Int r)) (IntMap.find_opt k st)
+    | _ -> None
+
+  let touches ~mid ~args =
+    match (mid, args) with ("insert" | "delete"), k :: _ -> [ k ] | _ -> []
+
   let snapshot st = st
 
   let save st =
@@ -598,7 +800,7 @@ module S = struct
     | v -> invalid_arg ("blink-tree spec: bad saved state " ^ Repr.to_string v)
 end
 
-let spec : Spec.t = (module S)
+let spec : Spec.t = Spec.keyed (module S)
 
 (* --- unsafe inspection ---------------------------------------------------- *)
 

@@ -40,11 +40,24 @@ val lookup : t -> int -> int option
     case a single internal execution with one commit action. *)
 val compress : t -> unit
 
-(** [viewdef] — the bag of (key, value) pairs on the live leaf chain,
-    walked from the logged root pointer. *)
+(** [viewdef] — the bag of (key, (value, version)) pairs on the live leaf
+    chain: the nodes reachable from the leftmost leaf along right links,
+    walked from the logged root pointer at every commit.  A node that does
+    not decode contributes nothing and ends the chain; a spine that cannot
+    reach a leaf (an internal node without children, or one whose first
+    child was already passed) yields an empty view.  The independent oracle
+    for {!viewdef_keyed}. *)
 val viewdef : Vyrd.View.t
 
-(** The ordered-map specification. *)
+(** The same view, incremental (§6.4): it keeps a decoded copy of every
+    node and the set of nodes on the chain, decodes only the nodes a commit
+    wrote, and reports the pairs they gained or lost.  It walks the chain
+    again, over the decoded copies, only when the chain's start moves or a
+    chain node's right link changes other than by a split. *)
+val viewdef_keyed : Vyrd.View.t
+
+(** The ordered-map specification.  It is keyed ({!Vyrd.Spec.keyed}): an
+    [insert] or [delete] touches its key, [compress] touches nothing. *)
 val spec : Vyrd.Spec.t
 
 (** Pairs currently reachable, straight from memory (post-run assertions). *)

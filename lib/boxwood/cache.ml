@@ -339,33 +339,27 @@ let handle_of_var var =
     | Some j -> int_of_string_opt (String.sub var (i + 1) (j - i - 1)))
 
 let viewdef_keyed : View.t =
-  View.Keyed
-    {
-      keys_of_var =
-        (fun var ->
-          match handle_of_var var with Some h -> [ Repr.Int h ] | None -> []);
-      project =
-        (fun lookup key ->
-          match key with
-          | Repr.Int h ->
-            (* infer the buffer size from the entry cells present; chunk
-               bytes carry their own length *)
-            let rec size j =
-              if lookup (data_var h j) = None then j else size (j + 1)
-            in
-            let buf_size = size 0 in
-            let v =
-              match lookup_state lookup h with
-              | Clean | Dirty -> lookup_entry_bytes lookup ~buf_size h
-              | Absent -> (
-                match lookup (Chunk_manager.var h) with
-                | Some (Repr.Str s) ->
-                  if s = "" then "" else pad_to (max buf_size (String.length s)) s
-                | Some _ | None -> "")
-            in
-            if v = "" then None else Some (Repr.Str v)
-          | _ -> None);
-    }
+  View.projected
+    ~keys_of_var:(fun var ->
+      match handle_of_var var with Some h -> [ Repr.Int h ] | None -> [])
+    ~project:(fun lookup key ->
+      match key with
+      | Repr.Int h ->
+        (* infer the buffer size from the entry cells present; chunk bytes
+           carry their own length *)
+        let rec size j = if lookup (data_var h j) = None then j else size (j + 1) in
+        let buf_size = size 0 in
+        let v =
+          match lookup_state lookup h with
+          | Clean | Dirty -> lookup_entry_bytes lookup ~buf_size h
+          | Absent -> (
+            match lookup (Chunk_manager.var h) with
+            | Some (Repr.Str s) ->
+              if s = "" then "" else pad_to (max buf_size (String.length s)) s
+            | Some _ | None -> "")
+        in
+        if v = "" then None else Some (Repr.Str v)
+      | _ -> None)
 
 let invariant_clean_matches_chunk ~chunks ~buf_size : Checker.invariant =
   ( "clean cache entry matches chunk manager",
@@ -420,6 +414,13 @@ let spec ~chunks : Spec.t =
            (fun h s acc -> if s = "" then acc else (Repr.Int h, Repr.Str s) :: acc)
            st [])
 
+    let view_at st = function
+      | Repr.Int h -> (match contents st h with "" -> None | s -> Some (Repr.Str s))
+      | _ -> None
+
+    let touches ~mid ~args =
+      match (mid, args) with "write", h :: _ -> [ h ] | _ -> []
+
     let snapshot st = st
 
     let save st =
@@ -436,4 +437,4 @@ let spec ~chunks : Spec.t =
           IntMap.empty kvs
       | v -> invalid_arg ("cache spec: bad saved state " ^ Repr.to_string v)
   end in
-  (module S)
+  Spec.keyed (module S)

@@ -59,7 +59,9 @@ val viewdef_keyed : Vyrd.View.t
 (** Paper invariant (i): a clean entry's bytes equal the chunk's bytes. *)
 val invariant_clean_matches_chunk : chunks:int -> buf_size:int -> Vyrd.Checker.invariant
 
-(** Specification: the abstract store, a map from handle to bytes. *)
+(** Specification: the abstract store, a map from handle to bytes.  It is
+    keyed ({!Vyrd.Spec.keyed}): a [write] touches its handle, [flush] and
+    [evict] touch nothing. *)
 val spec : chunks:int -> Vyrd.Spec.t
 
 (** Seeded mutant ({!Vyrd_faults.Faults}): when armed, [flush] marks dirty

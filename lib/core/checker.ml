@@ -15,14 +15,16 @@ type t = {
 
 (* One committed mutator execution waiting for its specification transition.
    Transitions happen in commit order; [ret] arrives with the method's
-   return event. *)
+   return event.  [pc_view] is viewI as taken at the commit action: the
+   whole view, or (keyed view and keyed spec) the entries of the keys this
+   commit may have changed on either side. *)
 type pending_commit = {
   pc_tid : Tid.t;
   pc_mid : string;
   pc_args : Repr.t list;
   pc_kind : Spec.kind;
   mutable pc_ret : Repr.t option;
-  pc_view_i : Repr.t option;  (* viewI snapshot taken at the commit action *)
+  pc_view : View.delta option;
 }
 
 (* An observer whose return value still awaits a matching spec state.
@@ -44,8 +46,22 @@ type open_exec = {
 
 type invariant = string * (View.lookup -> bool)
 
+(* A spec that does not opt in to keyed views is only ever compared whole. *)
+let keyed_or_whole (spec : Spec.t) : Spec.keyed * bool =
+  match Spec.as_keyed spec with
+  | Some k -> (k, true)
+  | None ->
+    let module S = (val spec) in
+    ( (module struct
+        include S
+
+        let view_at _ _ = None
+        let touches ~mid:_ ~args:_ = []
+      end),
+      false )
+
 let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
-  let module Sp = (val spec) in
+  let (module Sp : Spec.KEYED), keyed_spec = keyed_or_whole spec in
   let view_eval =
     match (mode, view) with
     | `Io, _ -> None
@@ -67,6 +83,25 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
   in
   let push_state s = Vec.push state_window s in
   let replay = Replay.create () in
+  (* Delta compare (§6.4): only when both sides are keyed.  By induction
+     over commits: the views agree after commit c-1, and outside the keys
+     the implementation changed or the transition touches neither side
+     changed at c.  The first commit after creation or a restore has no
+     c-1 to lean on; [View.delta] hands back the whole view there. *)
+  let capture =
+    match view_eval with
+    | None -> fun ~mid:_ ~args:_ -> None
+    | Some ev when keyed_spec && View.incremental ev ->
+      fun ~mid ~args -> Some (View.delta ev replay ~touched:(Sp.touches ~mid ~args))
+    | Some ev -> fun ~mid:_ ~args:_ -> Some (View.Whole (View.recompute ev replay))
+  in
+  (* implementation entries [es] at a key agree with the spec's value *)
+  let agrees es s =
+    match (es, s) with
+    | [], None -> true
+    | [ v ], Some v' -> Repr.equal v v'
+    | _ -> false
+  in
   let open_execs : (Tid.t, open_exec) Hashtbl.t = Hashtbl.create 16 in
   let pending_commits : pending_commit Queue.t = Queue.create () in
   let pending_observers : pending_observer Vec.t = Vec.create () in
@@ -156,12 +191,28 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
         | Ok next ->
           push_state (Sp.snapshot next);
           commits_resolved := ordinal;
-          (match pc.pc_view_i with
-          | Some view_i ->
+          let view_violation view_i view_s =
+            fail (Report.View_violation { exec; commit_ordinal = ordinal; view_i; view_s })
+          in
+          (match pc.pc_view with
+          | Some (View.Whole view_i) ->
             let view_s = Sp.view next in
-            if not (Repr.equal view_i view_s) then
-              fail
-                (Report.View_violation { exec; commit_ordinal = ordinal; view_i; view_s })
+            if not (Repr.equal view_i view_s) then view_violation view_i view_s
+          | Some (View.Entries entries) -> (
+            match
+              List.filter_map
+                (fun (k, es) ->
+                  let s = Sp.view_at next k in
+                  if agrees es s then None else Some (k, es, s))
+                entries
+            with
+            | [] -> ()
+            | diff ->
+              view_violation
+                (View.canonical_of_assoc
+                   (List.concat_map (fun (k, es, _) -> List.map (fun v -> (k, v)) es) diff))
+                (View.canonical_of_assoc
+                   (List.filter_map (fun (k, _, s) -> Option.map (fun v -> (k, v)) s) diff)))
           | None -> ());
           if !violation = None then begin
             count_method pc.pc_mid;
@@ -203,7 +254,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
                (Tid.to_string tid) oe.oe_mid)
         else begin
           Replay.commit replay tid;
-          let view_i = Option.map (fun ev' -> View.recompute ev' replay) view_eval in
+          let view_i = capture ~mid:oe.oe_mid ~args:oe.oe_args in
           (match
              List.find_opt
                (fun (_, pred) -> not (pred (Replay.lookup replay)))
@@ -222,7 +273,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
           incr commits_logged;
           let pc =
             { pc_tid = tid; pc_mid = oe.oe_mid; pc_args = oe.oe_args;
-              pc_kind = oe.oe_kind; pc_ret = None; pc_view_i = view_i }
+              pc_kind = oe.oe_kind; pc_ret = None; pc_view = view_i }
           in
           Queue.push pc pending_commits;
           oe.oe_commit <- Some pc
@@ -288,8 +339,30 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
      checkpoint keeps its whole [o_start..o_end] window, §4.3), the shadow
      replay including open commit blocks, and the statistics.  The keyed
      view cache is NOT serialized: restore resets it and the replay restore
-     marks every variable dirty, so the first recomputation rebuilds it. *)
-  let format_tag = "checker/1" in
+     marks every variable dirty, so the first recomputation rebuilds it and
+     the first commit after the restore is compared whole.  Pending commits
+     carry their captured viewI: whole, or the entries of the keys they may
+     have changed. *)
+  let format_tag = "checker/2" in
+  let enc_view = function
+    | View.Whole v -> Repr.Pair (Repr.Int 0, v)
+    | View.Entries entries ->
+      Repr.Pair
+        ( Repr.Int 1,
+          Repr.List (List.map (fun (k, es) -> Repr.Pair (k, Repr.List es)) entries) )
+  in
+  let dec_view r =
+    match Ckpt.pair r with
+    | Repr.Int 0, v -> View.Whole v
+    | Repr.Int 1, entries ->
+      View.Entries
+        (List.map
+           (fun e ->
+             let k, es = Ckpt.pair e in
+             (k, Ckpt.list es))
+           (Ckpt.list entries))
+    | _ -> Ckpt.malformed "checker snapshot: bad captured view"
+  in
   let kind_code = function Spec.Mutator -> 0 | Spec.Observer -> 1 | Spec.Internal -> 2 in
   let kind_of_code = function
     | 0 -> Spec.Mutator
@@ -313,7 +386,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
           Repr.List
             [ Repr.Int pc.pc_tid; Repr.Str pc.pc_mid; Repr.List pc.pc_args;
               Repr.Int (kind_code pc.pc_kind); Ckpt.of_opt pc.pc_ret;
-              Ckpt.of_opt pc.pc_view_i ]
+              Ckpt.of_opt (Option.map enc_view pc.pc_view) ]
         in
         let pcs =
           List.rev (Queue.fold (fun acc pc -> enc_pc pc :: acc) [] pending_commits)
@@ -376,10 +449,10 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
           (List.length states) sb cr;
       let dec_pc r =
         match Ckpt.list r with
-        | [ tid; mid; args; kind; ret; view_i ] ->
+        | [ tid; mid; args; kind; ret; view ] ->
           { pc_tid = Ckpt.int tid; pc_mid = Ckpt.str mid; pc_args = Ckpt.list args;
             pc_kind = kind_of_code (Ckpt.int kind); pc_ret = Ckpt.opt ret;
-            pc_view_i = Ckpt.opt view_i }
+            pc_view = Option.map dec_view (Ckpt.opt view) }
         | _ -> Ckpt.malformed "checker snapshot: bad pending commit"
       in
       let pcs = List.map dec_pc (Ckpt.list pcs) in

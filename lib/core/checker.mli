@@ -14,7 +14,10 @@
       and is validated the same way (exceptional terminations, §1);
     - in [`View] mode, [viewI] is recomputed from the shadow replay at each
       commit (after publishing that thread's commit block) and compared with
-      [viewS] of the specification state the transition produces.
+      [viewS] of the specification state the transition produces.  With a
+      keyed view and a keyed specification ({!Spec.keyed}) only the keys
+      the commit changed on either side are compared (§6.4); the verdict
+      and its position are those of the whole compare.
 
     The first violation freezes the checker; statistics record how many
     method executions had been checked — the paper's time-to-detection
@@ -57,7 +60,8 @@ val violation : t -> Report.violation option
 (** Methods fully checked so far. *)
 val methods_checked : t -> int
 
-(** Key projections performed by a [Keyed] view (ablation instrumentation). *)
+(** Keys a [Keyed] view re-derived or handed out for comparison
+    ({!View.projections}; ablation instrumentation). *)
 val view_projections : t -> int
 
 (** [snapshot t] serializes the checker's complete mid-stream state: the

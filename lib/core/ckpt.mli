@@ -23,7 +23,7 @@ val opt : Repr.t -> Repr.t option
 val of_opt : Repr.t option -> Repr.t
 
 (** [tagged tag payload] wraps a checkpoint payload with its format name
-    (e.g. ["checker/1"], ["farm/1"]); [untag tag v] unwraps it, raising
+    (e.g. ["checker/2"], ["farm/1"]); [untag tag v] unwraps it, raising
     {!Malformed} on any other tag so format confusion is detected before
     any state is rebuilt. *)
 val tagged : string -> Repr.t -> Repr.t

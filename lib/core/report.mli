@@ -19,7 +19,12 @@ type violation =
       commit_ordinal : int;
       view_i : Repr.t;
       view_s : Repr.t;
-    }  (** [viewI <> viewS] at a commit action (§5) *)
+    }
+      (** [viewI <> viewS] at a commit action (§5).  With a {!View.Full} or
+          {!View.Pair} view, or a specification that is not keyed,
+          [view_i]/[view_s] are the whole views; with a keyed view and a
+          keyed specification they list only the (key, value) entries that
+          differ, each side's as a canonical list. *)
   | Invariant_violation of { exec : exec; commit_ordinal : int; invariant : string }
       (** a user-supplied runtime invariant over the replayed implementation
           state failed at a commit action (§7.2.1) *)

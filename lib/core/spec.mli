@@ -60,3 +60,36 @@ module type S = sig
 end
 
 type t = (module S)
+
+(** {1 Keyed specifications}
+
+    A specification whose [view] is a map from keys to values can expose it
+    key by key, so view refinement compares only the keys a commit touched
+    (§6.4).  The contract, checked by the property tests of every spec that
+    opts in:
+    - [canonical_of_assoc] of [view_at s k] over all keys [k] with a value
+      is [view s] (in particular no key appears twice in [view s]);
+    - a transition [apply s ~mid ~args ~ret = Ok s'] changes [view_at] only
+      at keys in [touches ~mid ~args].
+    A spec breaking the second point makes the checker miss violations. *)
+module type KEYED = sig
+  include S
+
+  (** [view_at state key] is [key]'s value in [view state], [None] when the
+      key is absent. *)
+  val view_at : state -> Repr.t -> Repr.t option
+
+  (** [touches ~mid ~args] are the keys a transition of [mid] with [args]
+      may change, whatever its return value. *)
+  val touches : mid:string -> args:Repr.t list -> Repr.t list
+end
+
+type keyed = (module KEYED)
+
+(** [keyed k] is [k] as a plain specification.  Every other specification
+    is checked against whole views; [as_keyed] recovers [k] from the value
+    [keyed k] returned (and from no other), which is how the checker finds
+    the keyed view of the specification it is given. *)
+val keyed : keyed -> t
+
+val as_keyed : t -> keyed option

@@ -144,7 +144,7 @@ let blink_tree =
     name = "BLinkTree";
     bug_description = "Allowing duplicated data nodes";
     spec = Blink_tree.spec;
-    view = Blink_tree.viewdef;
+    view = Blink_tree.viewdef_keyed;
     invariants = [];
     build =
       (fun ~bug ctx ->

@@ -211,6 +211,62 @@ let test_cache_sequential_semantics () =
   assert_pass "sequential cache"
     (Checker.check ~mode:`View ~view:full_view ~invariants:[ invariant ] log spec)
 
+(* --- keyed view and keyed spec against the whole compare ------------------ *)
+
+let qcheck t = QCheck_alcotest.to_alcotest t
+
+type variant = Correct | Dirty_copy_bug | Stale_writeback
+
+let gen_session =
+  QCheck2.Gen.(pair (int_range 0 100_000) (oneofl [ Correct; Dirty_copy_bug; Stale_writeback ]))
+
+let print_session (seed, variant) =
+  Printf.sprintf "seed %d, %s" seed
+    (match variant with
+    | Correct -> "correct"
+    | Dirty_copy_bug -> "unprotected dirty copy"
+    | Stale_writeback -> "stale writeback")
+
+let session_log (seed, variant) =
+  let bugs = match variant with Dirty_copy_bug -> [ Cache.Unprotected_dirty_copy ] | _ -> [] in
+  let run () = run_cache ~bugs ~seed ~threads:4 ~ops:20 () in
+  match variant with
+  | Stale_writeback -> Vyrd_faults.Faults.with_armed Cache.fault_stale_writeback run
+  | Correct | Dirty_copy_bug -> run ()
+
+let differential_keyed =
+  qcheck
+    (QCheck2.Test.make ~name:"keyed view + keyed spec == reference with full view"
+       ~count:150 ~print:print_session gen_session (fun session ->
+         Test_blink.agrees_with_reference ~keyed:Cache.viewdef_keyed ~oracle:full_view
+           (session_log session) spec))
+
+let keyed_spec_contract =
+  let step =
+    QCheck2.Gen.(
+      let handle = int_range (-1) chunks in
+      frequency
+        [
+          ( 4,
+            map2
+              (fun h d -> ("write", [ Repr.Int h; Repr.Str d ], Repr.Unit))
+              handle
+              (oneofl [ ""; "ab"; "abcdefgh" ]) );
+          (1, return ("flush", [], Repr.Unit));
+          (1, map (fun h -> ("evict", [ Repr.Int h ], Repr.Unit)) handle);
+        ])
+  in
+  qcheck
+    (QCheck2.Test.make ~name:"cache spec honours the keyed contract" ~count:300
+       QCheck2.Gen.(list_size (int_range 0 30) step)
+       (fun steps ->
+         match Spec.as_keyed spec with
+         | None -> false
+         | Some k ->
+           Test_core.keyed_contract k
+             ~probe:(List.init (chunks + 2) (fun i -> Repr.Int (i - 1)))
+             steps))
+
 let suite =
   [
     ("cache correct", `Quick, test_cache_correct);
@@ -221,4 +277,6 @@ let suite =
     ("cache bug: view much earlier than io", `Slow, test_cache_view_detects_much_earlier);
     ("read_fill is view neutral", `Quick, test_read_fill_is_view_neutral);
     ("cache sequential semantics", `Quick, test_cache_sequential_semantics);
+    differential_keyed;
+    keyed_spec_contract;
   ]

@@ -69,7 +69,7 @@ let correct_log () =
     { Harness.default with threads = 4; ops_per_thread = 25; log_level = `View }
     (subject.Subjects.build ~bug:false)
 
-let offline log =
+let offline ?(subject = subject) log =
   let r =
     Checker.check ~mode:`View ~view:subject.Subjects.view log
       subject.Subjects.spec
@@ -126,9 +126,9 @@ let test_snapshot_restore_roundtrip () =
 
 (* --- resume = offline at every checkpoint position ------------------------ *)
 
-let resume_equals_offline_everywhere ~every name log =
+let resume_equals_offline_everywhere ?(subject = subject) ~every name log =
   with_spool @@ fun path ->
-  let off, off_fail = offline log in
+  let off, off_fail = offline ~subject log in
   let spool =
     Resume.check_to_spool ~mode:`View ~view:subject.Subjects.view ~every ~path
       log subject.Subjects.spec
@@ -170,6 +170,119 @@ let test_resume_equals_offline_buggy () =
      every position before the violation, including ones with windows still
      open across the checkpoint, must resume to the identical verdict *)
   resume_equals_offline_everywhere ~every:5 "buggy run" log
+
+(* BLinkTree with its incremental view: pending commits carry the entries of
+   the keys they touched, and the first commit after a restore is compared
+   whole. *)
+let blink = Subjects.blink_tree
+
+let blink_log ~bug ~seed =
+  Harness.run
+    { Harness.threads = 4; ops_per_thread = 25; key_pool = 8; key_range = 24; seed;
+      log_level = `View }
+    (blink.Subjects.build ~bug)
+
+let test_resume_equals_offline_blink () =
+  resume_equals_offline_everywhere ~subject:blink ~every:40 "blink correct run"
+    (blink_log ~bug:false ~seed:1);
+  let rec convicting seed =
+    if seed > 200 then Alcotest.fail "duplicate-data-node bug never detected"
+    else
+      let log = blink_log ~bug:true ~seed in
+      if Report.is_pass (fst (offline ~subject:blink log)) then convicting (seed + 1) else log
+  in
+  resume_equals_offline_everywhere ~subject:blink ~every:10 "blink buggy run" (convicting 0)
+
+(* The delta compare leans on the views agreeing at the previous commit, so
+   the first commit after a restore must be compared whole: here a delete's
+   write also drops an unrelated key, and a checkpoint between that write
+   and the commit restores a replay that already lacks the key.  Compared
+   on the keys changed since the restore plus the touched one, the loss
+   would go unseen; every cut must convict where the straight run does. *)
+let test_restore_compares_first_commit_whole () =
+  let blink = Subjects.blink_tree in
+  let leaf keys =
+    Event.Write
+      { tid = 1; var = "node[0]";
+        value =
+          Vyrd_boxwood.Bnode.(
+            to_repr
+              { empty_leaf with
+                keys = List.map fst keys;
+                vals = List.map snd keys;
+                vers = List.map (fun _ -> 1) keys }) }
+  in
+  let op mid args ret write =
+    [ Event.Call { tid = 1; mid; args }; write; Event.Commit { tid = 1 };
+      Event.Return { tid = 1; mid; value = ret } ]
+  in
+  let events =
+    Array.of_list
+      ([ leaf []; Event.Write { tid = 1; var = "tree.root"; value = Repr.Int 0 } ]
+      @ op "insert" [ Repr.Int 1; Repr.Int 10 ] Repr.Unit (leaf [ (1, 10) ])
+      @ op "insert" [ Repr.Int 2; Repr.Int 20 ] Repr.Unit (leaf [ (1, 10); (2, 20) ])
+      @ op "delete" [ Repr.Int 2 ] (Repr.Bool true) (leaf []))
+  in
+  let fresh () = Checker.create ~mode:`View ~view:blink.Subjects.view blink.Subjects.spec in
+  let run c from =
+    let fail = ref None in
+    for i = from to Array.length events - 1 do
+      match Checker.feed c events.(i) with
+      | Some _ when !fail = None -> fail := Some i
+      | _ -> ()
+    done;
+    (Report.tag (Checker.report c), !fail)
+  in
+  let straight = run (fresh ()) 0 in
+  Alcotest.(check (pair string (option int))) "straight run convicts at the delete"
+    ("view", Some (Array.length events - 1)) straight;
+  for cut = 1 to Array.length events - 1 do
+    let a = fresh () in
+    for i = 0 to cut - 1 do
+      ignore (Checker.feed a events.(i))
+    done;
+    match Checker.snapshot a with
+    | None -> ()
+    | Some st ->
+      let b = fresh () in
+      Checker.restore b st;
+      Alcotest.(check (pair string (option int)))
+        (Printf.sprintf "restored at %d" cut)
+        straight (run b cut)
+  done
+
+(* A snapshot in the previous format must be refused, so resume falls back
+   to an older frame or to a full replay instead of misreading it. *)
+let test_checker_v1_snapshot_rejected () =
+  let log = correct_log () in
+  let events = Log.snapshot log in
+  let n = Array.length events in
+  let fresh () = Checker.create ~mode:`View ~view:subject.Subjects.view subject.Subjects.spec in
+  let c = fresh () in
+  for i = 0 to (n / 2) - 1 do
+    ignore (Checker.feed c events.(i))
+  done;
+  let v1 =
+    match Checker.snapshot c with
+    | Some st -> Ckpt.tagged "checker/1" (Ckpt.untag "checker/2" st)
+    | None -> Alcotest.fail "snapshot refused on a violation-free prefix"
+  in
+  (match Checker.restore (fresh ()) v1 with
+  | () -> Alcotest.fail "a checker/1 snapshot was restored"
+  | exception Ckpt.Malformed _ -> ());
+  with_spool @@ fun path ->
+  let w = Segment.create_writer ~level:`View path in
+  Array.iteri
+    (fun i ev ->
+      if i = n / 2 then Segment.append_checkpoint w v1;
+      Segment.append w ev)
+    events;
+  Segment.close w;
+  let off, off_fail = offline log in
+  let o = Resume.resume ~mode:`View ~view:subject.Subjects.view ~path subject.Subjects.spec in
+  Alcotest.(check (option int)) "fell back to a full replay" None o.Resume.resumed_at;
+  Alcotest.(check string) "verdict" (Report.tag off) (Report.tag o.Resume.report);
+  Alcotest.(check (option int)) "fail index" off_fail o.Resume.fail_index
 
 (* --- corruption can cost replay work, never a verdict --------------------- *)
 
@@ -515,6 +628,13 @@ let suite =
     ( "resume = offline at every checkpoint (buggy)",
       `Quick,
       test_resume_equals_offline_buggy );
+    ( "resume = offline at every checkpoint (blink, incremental view)",
+      `Quick,
+      test_resume_equals_offline_blink );
+    ("checker/1 snapshot is rejected", `Quick, test_checker_v1_snapshot_rejected);
+    ( "restore compares the first commit whole",
+      `Quick,
+      test_restore_compares_first_commit_whole );
     ( "corrupt checkpoint never changes the verdict",
       `Quick,
       test_corrupt_checkpoint_never_changes_verdict );

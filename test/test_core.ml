@@ -180,12 +180,10 @@ let test_replay_dirty_tracking () =
 
 let test_keyed_view_incremental () =
   let view =
-    View.Keyed
-      {
-        keys_of_var = (fun var -> [ Repr.Str var ]);
-        project = (fun lookup key ->
-            match key with Repr.Str var -> lookup var | _ -> None);
-      }
+    View.projected
+      ~keys_of_var:(fun var -> [ Repr.Str var ])
+      ~project:(fun lookup key ->
+        match key with Repr.Str var -> lookup var | _ -> None)
   in
   let eval = View.make_eval view in
   let r = Replay.create () in
@@ -203,6 +201,93 @@ let test_keyed_view_incremental () =
   let v3 = View.recompute eval r in
   Alcotest.(check bool) "stable" true (Repr.equal v2 v3);
   Alcotest.(check int) "no new projections" 2 (View.projections eval)
+
+let test_view_delta () =
+  let view =
+    View.projected
+      ~keys_of_var:(fun var -> [ Repr.Str var ])
+      ~project:(fun lookup key -> match key with Repr.Str var -> lookup var | _ -> None)
+  in
+  let eval = View.make_eval view in
+  let r = Replay.create () in
+  let entries = Alcotest.testable (Fmt.of_to_string (function
+      | View.Whole v -> "whole " ^ Repr.to_string v
+      | View.Entries es ->
+        String.concat "; "
+          (List.map (fun (k, vs) -> Repr.to_string k ^ " = " ^ Repr.to_string (Repr.List vs)) es)))
+      ( = )
+  in
+  let a = Repr.Str "a" and b = Repr.Str "b" and c = Repr.Str "c" in
+  Replay.write r 1 "a" (Repr.Int 1);
+  Alcotest.check entries "first delta is whole"
+    (View.Whole (View.canonical_of_assoc [ (a, Repr.Int 1) ]))
+    (View.delta eval r ~touched:[ a ]);
+  Replay.write r 1 "b" (Repr.Int 2);
+  Alcotest.check entries "changed key plus touched key"
+    (View.Entries [ (b, [ Repr.Int 2 ]); (c, []) ])
+    (View.delta eval r ~touched:[ c; b ]);
+  Replay.write r 1 "a" (Repr.Int 1);
+  Alcotest.check entries "an unchanged write is no change" (View.Entries [])
+    (View.delta eval r ~touched:[]);
+  View.reset eval;
+  Replay.restore r (Replay.snapshot r);
+  Alcotest.check entries "after a reset, whole again"
+    (View.Whole (View.canonical_of_assoc [ (a, Repr.Int 1); (b, Repr.Int 2) ]))
+    (View.delta eval r ~touched:[]);
+  (* a key held twice shows both values *)
+  let twice =
+    View.Keyed
+      { start = (fun () lookup dirty (edit : View.edit) ->
+            List.iter
+              (fun var ->
+                Option.iter (fun v -> edit.add (Repr.Str "k") v; edit.add (Repr.Str "k") v)
+                  (lookup var))
+              dirty) }
+  in
+  let eval = View.make_eval twice in
+  let r = Replay.create () in
+  ignore (View.delta eval r ~touched:[]);
+  Replay.write r 1 "x" (Repr.Int 3);
+  Alcotest.check entries "duplicates kept"
+    (View.Entries [ (Repr.Str "k", [ Repr.Int 3; Repr.Int 3 ]) ])
+    (View.delta eval r ~touched:[])
+
+(* The keyed-spec contract of [Spec.KEYED], over a run of transitions (those
+   [apply] rejects are skipped): at every state, [view_at] over the view's
+   keys and [probe] is [view], and a transition changes [view_at] only at
+   keys it [touches].  Used by the property tests of each keyed spec. *)
+let keyed_contract (k : Spec.keyed) ~probe steps =
+  let module K = (val k) in
+  let keys_of st =
+    match K.view st with
+    | Repr.List ps -> List.filter_map (function Repr.Pair (k, _) -> Some k | _ -> None) ps
+    | _ -> []
+  in
+  let consistent st =
+    let keys = List.sort_uniq Repr.compare (keys_of st @ probe) in
+    Repr.equal (K.view st)
+      (View.canonical_of_assoc
+         (List.filter_map (fun k -> Option.map (fun v -> (k, v)) (K.view_at st k)) keys))
+  in
+  let rec go st = function
+    | [] -> true
+    | (mid, args, ret) :: rest -> (
+      let before = K.snapshot st in
+      match K.apply st ~mid ~args ~ret with
+      | Error _ -> go before rest
+      | Ok after ->
+        let after = K.snapshot after in
+        let touched = K.touches ~mid ~args in
+        consistent after
+        && List.for_all
+             (fun k ->
+               Option.equal Repr.equal (K.view_at before k) (K.view_at after k)
+               || List.exists (Repr.equal k) touched)
+             (List.sort_uniq Repr.compare (keys_of before @ keys_of after @ probe))
+        && go after rest)
+  in
+  let init = K.init () in
+  consistent init && go init steps
 
 (* --- Timeline --------------------------------------------------------------- *)
 
@@ -429,6 +514,7 @@ let suite =
     ("replay ill-formed blocks", `Quick, test_replay_ill_formed);
     ("replay dirty tracking", `Quick, test_replay_dirty_tracking);
     ("keyed view incremental", `Quick, test_keyed_view_incremental);
+    ("keyed view delta", `Quick, test_view_delta);
     ("squeue fifo", `Quick, test_squeue_fifo);
     ("squeue cross-domain", `Quick, test_squeue_cross_domain);
     ("online agrees with offline", `Quick, test_online_agrees_with_offline);

@@ -257,6 +257,48 @@ let test_loopback_correct_run_passes () =
           (Client.events_sent t);
         Alcotest.(check bool) "framing was accounted" true (Client.bytes_sent t > 0))
 
+(* A crafted BLinkTree log whose root is a childless internal node, or an
+   internal node that is its own first child, once made the view raise or
+   loop, pinning the daemon's lane.  Each session must end in the offline
+   verdict. *)
+let test_malformed_blink_logs_get_a_verdict () =
+  let blink = Subjects.blink_tree in
+  let sock = Filename.temp_file "vyrd_net" ".sock" in
+  let srv =
+    Server.start
+      (Server.config ~addr:(Wire.Unix_socket sock) (fun _ ->
+           [ Farm.shard ~mode:`View ~view:blink.Subjects.view blink.Subjects.name
+               blink.Subjects.spec ]))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop ~deadline:5. srv;
+      if Sys.file_exists sock then Sys.remove sock)
+    (fun () ->
+      List.iter
+        (fun (name, root) ->
+          let log = Test_blink.malformed_root_log root in
+          let verdict = Atomic.make None in
+          let submit =
+            Thread.create
+              (fun () ->
+                Atomic.set verdict
+                  (Some (Client.submit_log ~batch_events:4 (Server.addr srv) log)))
+              ()
+          in
+          let deadline = Unix.gettimeofday () +. 20. in
+          while Atomic.get verdict = None && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done;
+          match Atomic.get verdict with
+          | None -> Alcotest.failf "%s: no verdict within 20 s" name
+          | Some (Client.Spilled _) -> Alcotest.failf "%s: unloaded server spilled" name
+          | Some (Client.Checked { report; fail_index }) ->
+            Thread.join submit;
+            Alcotest.(check string) (name ^ ": view violation") "view" (Report.tag report);
+            Alcotest.(check (option int)) (name ^ ": at the return") (Some 6) fail_index)
+        Test_blink.malformed_logs)
+
 let test_serve_analyze_runs_passes () =
   (* a server started with analysis on gives each session its own pass
      instances; their results land in the shared metrics registry *)
@@ -749,6 +791,7 @@ let suite =
     ("loopback verdict = offline checker", `Quick, test_loopback_matches_offline);
     ("loopback correct run passes", `Quick, test_loopback_correct_run_passes);
     ("serve with analysis passes on", `Quick, test_serve_analyze_runs_passes);
+    ("malformed blink logs get a verdict", `Quick, test_malformed_blink_logs_get_a_verdict);
     ( "overload spills; re-check agrees",
       `Quick,
       test_overload_spills_and_recheck_agrees );
