@@ -1756,6 +1756,116 @@ let cluster_bench ?(json_out = Some "BENCH_cluster.json") ~baseline ~max_regress
 
 module Monitor = Vyrd_monitor.Monitor
 
+(* Where the packs cost something: `Full logs whose lock events they must
+   follow.  Two synthetic nests (4 threads, each taking n locks nested in
+   one order and releasing them, n = 8 and 64) and the full-analyze shape
+   (Cache + Multiset-Vector at `Full, 4 threads x 50 ops, 16 sessions).
+   Each row prices the two packs and Lockgraph alone (feed + finish, best
+   of 3) and counts instance progressions per lock event through
+   [Monitor.pass]; that count is deterministic, so its gates cannot flake:
+   at most 2 per lock event at 64 locks, and at 64 locks no more than 1.5x
+   the count at 8. *)
+let many_lock_rows gate =
+  let nest n =
+    let rounds = max 1 (100_000 / (8 * n)) in
+    let evs = ref [] in
+    for _ = 1 to rounds do
+      for tid = 1 to 4 do
+        for i = 0 to n - 1 do
+          evs := Event.Acquire { tid; lock = Printf.sprintf "l%d" i } :: !evs
+        done;
+        for i = n - 1 downto 0 do
+          evs := Event.Release { tid; lock = Printf.sprintf "l%d" i } :: !evs
+        done
+      done
+    done;
+    [ Array.of_list (List.rev !evs) ]
+  in
+  let full_analyze () =
+    List.init 16 (fun i ->
+        let log = Log.create ~level:`Full () in
+        Harness.run_into ~log
+          { Harness.threads = 4; ops_per_thread = 50; key_pool = 12;
+            key_range = 32; seed = i + 1; log_level = `Full }
+          (List.map
+             (fun (s : Subjects.t) -> s.build ~bug:false)
+             [ Subjects.cache; Subjects.multiset_vector ]);
+        Log.snapshot log)
+  in
+  let time sessions make =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = Unix.gettimeofday () in
+      List.iter
+        (fun evs ->
+          let feed, finish = make () in
+          Array.iter feed evs;
+          finish ())
+        sessions;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best
+  in
+  let pack m () =
+    let m = m () in
+    (Monitor.feed m, fun () -> ignore (Monitor.finish m : Monitor.verdict))
+  in
+  let lockgraph () =
+    let g = Vyrd_analysis.Lockgraph.create () in
+    ( Vyrd_analysis.Lockgraph.feed g,
+      fun () -> ignore (Vyrd_analysis.Lockgraph.result g) )
+  in
+  let per_lock_event sessions =
+    let reg = Pmetrics.create () in
+    let locks = ref 0 in
+    List.iter
+      (fun evs ->
+        let p = Monitor.pass ~metrics:reg (Monitor.builtins ()) in
+        Array.iter
+          (fun ev ->
+            (match ev with
+            | Event.Acquire _ | Event.Release _ -> incr locks
+            | _ -> ());
+            p.Vyrd_analysis.Pass.feed ev)
+          evs;
+        ignore (p.Vyrd_analysis.Pass.finish ()))
+      sessions;
+    float_of_int
+      (Pmetrics.value (Pmetrics.counter reg "analysis.monitor_progressions"))
+    /. float_of_int (max 1 !locks)
+  in
+  Fmt.pr "@.%-26s %9s %11s %11s %11s %9s@." "`Full lock-heavy log" "events"
+    "reversal/s" "leak/s" "lockgraph/s" "prog/lock";
+  Fmt.pr "%s@." (line 82);
+  let row key label sessions =
+    let n = List.fold_left (fun a evs -> a + Array.length evs) 0 sessions in
+    let evps dt = float_of_int n /. dt in
+    let rev = evps (time sessions (pack Monitor.lock_reversal)) in
+    let leak = evps (time sessions (pack Monitor.resource_leak)) in
+    let lg = evps (time sessions lockgraph) in
+    let prog = per_lock_event sessions in
+    Fmt.pr "%-26s %9d %10.2fM %10.2fM %10.2fM %9.3f@." label n (rev /. 1e6)
+      (leak /. 1e6) (lg /. 1e6) prog;
+    ( prog,
+      [
+        (key ^ "_lock_reversal_events_per_sec", jnum rev);
+        (key ^ "_resource_leak_events_per_sec", jnum leak);
+        (key ^ "_lockgraph_events_per_sec", jnum lg);
+        (key ^ "_progressions_per_lock_event", Printf.sprintf "%.3f" prog);
+      ] )
+  in
+  let p8, j8 = row "nest8" "nest of 8 locks, 4 thr" (nest 8) in
+  let p64, j64 = row "nest64" "nest of 64 locks, 4 thr" (nest 64) in
+  let _, jfa = row "full_analyze" "full-analyze shape, 16 ses" (full_analyze ()) in
+  gate
+    (Printf.sprintf "progressions/lock event at 64 locks %.3f <= 2" p64)
+    (p64 <= 2.);
+  gate
+    (Printf.sprintf "progressions/lock event 8 -> 64 locks x%.2f <= 1.5"
+       (p64 /. p8))
+    (p64 <= 1.5 *. p8);
+  j8 @ j64 @ jfa
+
 (* What the temporal-monitor lane costs on the hotpath workload: the same
    ~1.1M-event composed `View drain with and without the built-in pack
    (lock reversal + resource leak) attached as a farm pass.  Gates (any
@@ -1772,7 +1882,8 @@ module Monitor = Vyrd_monitor.Monitor
 
    Also reports standalone monitor feed throughput over a `Full-level log —
    the built-in packs key on Acquire/Release events, which `View traces do
-   not carry, so that row is the packs' real per-event cost. *)
+   not carry, so that row is the packs' real per-event cost — and the
+   lock-heavy rows of [many_lock_rows] with their progression gates. *)
 let monitor_bench ?(json_out = Some "BENCH_monitor.json") ~baseline
     ~max_regress ~max_overhead ~ops () =
   Fmt.pr
@@ -1852,6 +1963,7 @@ let monitor_bench ?(json_out = Some "BENCH_monitor.json") ~baseline
     if dt < !feed_dt then feed_dt := dt
   done;
   row (Fmt.str "builtin feed, %d ev `Full" fn) !feed_dt fn;
+  let many = many_lock_rows gate in
   let overhead_pct = (ratio -. 1.) *. 100. in
   gate
     (Printf.sprintf "--monitor overhead %.1f%% <= %.0f%% (best of %d pairs)"
@@ -1876,7 +1988,7 @@ let monitor_bench ?(json_out = Some "BENCH_monitor.json") ~baseline
   | None -> ()
   | Some file ->
     write_json file
-      [
+      ([
         ("experiment", "\"monitor\"");
         ("events", string_of_int n);
         ("pairs", string_of_int pairs);
@@ -1886,7 +1998,8 @@ let monitor_bench ?(json_out = Some "BENCH_monitor.json") ~baseline
         ("feed_full_events", string_of_int fn);
         ("feed_full_events_per_sec", jnum (float_of_int fn /. !feed_dt));
         ("max_overhead_pct_gate", jnum max_overhead);
-      ]);
+      ]
+      @ many));
   if !failures <> [] then begin
     Fmt.epr "@.monitor gates failed:@.";
     List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev !failures);

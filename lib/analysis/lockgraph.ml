@@ -34,62 +34,91 @@ let max_witnesses_per_edge = 8
    elementary cycles have been examined. *)
 let max_cycles_examined = 4096
 
-(* Per-thread state: held locks innermost-first with reentrancy depth, plus
-   the open method execution. *)
+(* Lock names are interned to dense ids on first sight, so the edge table
+   is keyed by ints. *)
+module Itbl = Hashtbl.Make (Int)
+
+(* A held lock.  Held lists are innermost-first; a reentrant acquire or
+   release changes only the depth, so a lock keeps the position of its
+   outermost acquire. *)
+type hold = { id : int; name : string; mutable depth : int }
+
+(* Per-thread state: held locks plus the open method execution. *)
 type tstate = {
-  mutable held : (string * int) list;
+  mutable held : hold list;
   mutable exec : meth option;
 }
 
-type estate = {
-  mutable witnesses_rev : witness list;
-  mutable tids : Tid.t list;  (* distinct tids already witnessed *)
-}
+type on_witness =
+  src:string -> dst:string -> witness -> reverse:witness list -> unit
 
 type t = {
-  threads : (Tid.t, tstate) Hashtbl.t;
-  etable : (string * string, estate) Hashtbl.t;
-  lock_names : (string, unit) Hashtbl.t;
+  threads : tstate Itbl.t;
+  ids : (string, int) Hashtbl.t;
+  edges : edge Itbl.t;  (* keyed by [edge_key src dst] *)
+  on_witness : on_witness option;
   mutable acquires : int;
   mutable index : int;
 }
 
-let create () =
+let create ?on_witness () =
   {
-    threads = Hashtbl.create 16;
-    etable = Hashtbl.create 64;
-    lock_names = Hashtbl.create 16;
+    threads = Itbl.create 16;
+    ids = Hashtbl.create 16;
+    edges = Itbl.create 64;
+    on_witness;
     acquires = 0;
     index = 0;
   }
 
+let intern t lock =
+  match Hashtbl.find_opt t.ids lock with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.ids in
+    Hashtbl.add t.ids lock id;
+    id
+
+let edge_key src dst = (src lsl 31) lor dst
+
 let state t tid =
-  match Hashtbl.find_opt t.threads tid with
+  match Itbl.find_opt t.threads tid with
   | Some s -> s
   | None ->
     let s = { held = []; exec = None } in
-    Hashtbl.replace t.threads tid s;
+    Itbl.replace t.threads tid s;
     s
 
-let add_edge t ~src ~dst w =
-  let e =
-    match Hashtbl.find_opt t.etable (src, dst) with
-    | Some e -> e
-    | None ->
-      let e = { witnesses_rev = []; tids = [] } in
-      Hashtbl.replace t.etable (src, dst) e;
-      e
-  in
-  if
-    (not (List.mem w.tid e.tids))
-    && List.length e.tids < max_witnesses_per_edge
-  then begin
-    e.tids <- w.tid :: e.tids;
-    e.witnesses_rev <- w :: e.witnesses_rev
-  end
+let witnesses t key =
+  match Itbl.find t.edges key with
+  | e -> e.witnesses
+  | exception Not_found -> []
 
-let feed t ev =
-  let index = t.index in
+(* [ws] takes a witness from [tid]: none from it yet and fewer than the cap *)
+let rec room tid n = function
+  | [] -> n < max_witnesses_per_edge
+  | (w : witness) :: rest -> (not (Tid.equal w.tid tid)) && room tid (n + 1) rest
+
+(* Acquiring [lock] while holding [s.held]: offer the acquire to each edge
+   [src -> lock].  The witness's [held] names are built only if some edge
+   accepts it. *)
+let add_edges t s ~index ~tid ~id ~lock =
+  let w = lazy { index; tid; held = List.map (fun h -> h.name) s.held; meth = s.exec } in
+  List.iter
+    (fun h ->
+      let key = edge_key h.id id in
+      let ws = witnesses t key in
+      if room tid 0 ws then begin
+        let w = Lazy.force w in
+        Itbl.replace t.edges key { src = h.name; dst = lock; witnesses = ws @ [ w ] };
+        match t.on_witness with
+        | None -> ()
+        | Some f ->
+          f ~src:h.name ~dst:lock w ~reverse:(witnesses t (edge_key id h.id))
+      end)
+    s.held
+
+let feed_at t index ev =
   t.index <- index + 1;
   match ev with
   | Event.Call { tid; mid; _ } ->
@@ -97,26 +126,25 @@ let feed t ev =
   | Event.Return { tid; _ } -> (state t tid).exec <- None
   | Event.Acquire { tid; lock } -> (
     t.acquires <- t.acquires + 1;
-    Hashtbl.replace t.lock_names lock ();
+    let id = intern t lock in
     let s = state t tid in
-    match List.assoc_opt lock s.held with
-    | Some n ->
+    match List.find_opt (fun h -> h.id = id) s.held with
+    | Some h ->
       (* reentrant: the lock is already held, so no new ordering arises *)
-      s.held <- (lock, n + 1) :: List.remove_assoc lock s.held
+      h.depth <- h.depth + 1
     | None ->
-      let held = List.map fst s.held in
-      let w = { index; tid; held; meth = s.exec } in
-      List.iter (fun src -> add_edge t ~src ~dst:lock w) held;
-      s.held <- (lock, 1) :: s.held)
+      add_edges t s ~index ~tid ~id ~lock;
+      s.held <- { id; name = lock; depth = 1 } :: s.held)
   | Event.Release { tid; lock } -> (
     let s = state t tid in
-    match List.assoc_opt lock s.held with
-    | Some n when n > 1 ->
-      s.held <- (lock, n - 1) :: List.remove_assoc lock s.held
-    | Some _ -> s.held <- List.remove_assoc lock s.held
+    match List.find_opt (fun h -> String.equal h.name lock) s.held with
+    | Some h when h.depth > 1 -> h.depth <- h.depth - 1
+    | Some h -> s.held <- List.filter (fun x -> x != h) s.held
     | None -> () (* unmatched release is the linter's business, not ours *))
   | Event.Commit _ | Event.Write _ | Event.Read _ | Event.Block_begin _
   | Event.Block_end _ -> ()
+
+let feed t ev = feed_at t t.index ev
 
 (* --- cycle enumeration --------------------------------------------------- *)
 
@@ -248,14 +276,11 @@ let select_witnesses cycle_locks (edges : edge list) =
 
 let result t =
   let edge_list =
-    Hashtbl.fold
-      (fun (src, dst) e acc ->
-        { src; dst; witnesses = List.rev e.witnesses_rev } :: acc)
-      t.etable []
+    Itbl.fold (fun _ e acc -> e :: acc) t.edges []
     |> List.sort (fun a b -> compare (a.src, a.dst) (b.src, b.dst))
   in
   let nodes =
-    Hashtbl.fold (fun l () acc -> l :: acc) t.lock_names []
+    Hashtbl.fold (fun l _ acc -> l :: acc) t.ids []
     |> List.sort compare |> Array.of_list
   in
   let succ_tbl = Hashtbl.create 32 in

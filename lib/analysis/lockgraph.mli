@@ -31,11 +31,15 @@ type meth = { mid : string; call_index : int }
 type witness = {
   index : int;  (** log position of the [Acquire] *)
   tid : Vyrd_sched.Tid.t;
-  held : string list;  (** locks held at that moment, excluding [dst] *)
+  held : string list;
+      (** locks held at that moment, excluding [dst], innermost first; a
+          reentrant acquire keeps a lock at the position of its outermost
+          acquire *)
   meth : meth option;  (** [None] for initialization / daemon acquires *)
 }
 
-(** [src -> dst] with up to one witness per distinct thread (bounded). *)
+(** [src -> dst] with the first witness of each distinct thread, in
+    acceptance order, up to eight threads. *)
 type edge = { src : string; dst : string; witnesses : witness list }
 
 (** An elementary cycle that survived both suppressions.  [locks] starts at
@@ -59,12 +63,23 @@ type result = {
 
 type t
 
-val create : unit -> t
+(** Called each time an edge [src -> dst] accepts a new witness, with the
+    witnesses of the reverse edge [dst -> src] in acceptance order.  This is
+    the incremental view of the graph: a two-lock cycle can only become
+    reportable at such a moment. *)
+type on_witness =
+  src:string -> dst:string -> witness -> reverse:witness list -> unit
+
+val create : ?on_witness:on_witness -> unit -> t
 
 (** [feed t ev] advances the analysis by one event.  Events must arrive in
     log order; positions are tracked internally.  Reentrant acquires add no
     edges; unmatched releases are ignored (the linter reports those). *)
 val feed : t -> Vyrd.Event.t -> unit
+
+(** [feed_at t i ev] feeds [ev] as the event at log position [i], for callers
+    that feed only part of a log (later {!feed}s continue at [i + 1]). *)
+val feed_at : t -> int -> Vyrd.Event.t -> unit
 
 (** The graph and surviving cycles accumulated so far. *)
 val result : t -> result

@@ -180,14 +180,8 @@ let pp_verdict ppf = function
 (* ------------------------------------------------------------- monitors *)
 
 type instance = {
-  i_name : string;
   mutable state : f;
   mutable i_verdict : verdict;
-  relevant : unit -> bool;
-      (* can any of this instance's atoms be non-false on the current event?
-         Read after the hook ran; [false] means progression is the identity
-         (the packs' states are fixpoints of all-atoms-false progression),
-         so the tree walk is skipped.  Always [true] for formula monitors. *)
   detail_of : unit -> string option;
   anchor : unit -> (int * Tid.t option) option;
       (* end-of-stream witness override: packs point at the unmatched
@@ -198,65 +192,66 @@ type t = {
   m_name : string;
   mutable insts : instance list;
   mutable n_fed : int;
+  mutable progressions : int;  (* instance progression steps taken *)
   interest : Event.t -> bool;
       (* event kinds the monitor reacts to at all; anything else only bumps
          the position counter.  The built-in packs key exclusively on lock
          events, so [`View]-level streams cost them almost nothing. *)
-  hook : (t -> Event.t -> unit) option;
-      (* pack state update, run before progression so spawned instances and
-         per-event atom flags see the current event *)
+  hook : (t -> Event.t -> instance list) option;
+      (* pack state update, run before progression: spawns instances and
+         returns the wake list, the instances the current event can move *)
   mutable finished : bool;
 }
 
 let no_detail () = None
 let no_anchor () = None
-let always_relevant () = true
 let any_event (_ : Event.t) = true
 let lock_events = function Event.Acquire _ | Event.Release _ -> true | _ -> false
 
-let add_instance ?(relevant = always_relevant) ?(detail_of = no_detail)
-    ?(anchor = no_anchor) t ~name f =
-  let inst =
-    { i_name = name; state = f; i_verdict = Pending; relevant; detail_of;
-      anchor }
-  in
+let make ?(interest = any_event) ?hook name =
+  { m_name = name; insts = []; n_fed = 0; progressions = 0; interest; hook;
+    finished = false }
+
+let add_instance ?(detail_of = no_detail) ?(anchor = no_anchor) t f =
+  let inst = { state = f; i_verdict = Pending; detail_of; anchor } in
   t.insts <- inst :: t.insts;
   inst
 
 let of_formula ~name f =
-  let t =
-    { m_name = name; insts = []; n_fed = 0; interest = any_event; hook = None;
-      finished = false }
-  in
-  ignore (add_instance t ~name f);
+  let t = make name in
+  ignore (add_instance t f);
   t
 
 let name t = t.m_name
 let fed t = t.n_fed
 
+let progress t ev inst =
+  match inst.i_verdict with
+  | Pending ->
+    t.progressions <- t.progressions + 1;
+    let st = prog inst.state ev in
+    if is_tt st then inst.i_verdict <- Sat
+    else if is_ff st then
+      inst.i_verdict <-
+        Viol
+          {
+            at = t.n_fed;
+            tid = Some (Event.tid ev);
+            failed = Fmt.str "%a" pp_f (blame inst.state ev);
+            detail = inst.detail_of ();
+          };
+    inst.state <- st
+  | Sat | Viol _ -> ()
+
+(* A formula monitor progresses every instance.  A pack progresses only the
+   instances its hook woke: an instance it did not wake is, by the pack's
+   contract, in a state that all-atoms-false progression leaves unchanged,
+   so skipping it changes no verdict. *)
 let feed t ev =
   if not t.finished then begin
     if t.interest ev then begin
-      (match t.hook with Some h -> h t ev | None -> ());
-      let idx = t.n_fed in
-      List.iter
-        (fun inst ->
-          match inst.i_verdict with
-          | Pending when inst.relevant () ->
-            let st = prog inst.state ev in
-            if is_tt st then inst.i_verdict <- Sat
-            else if is_ff st then
-              inst.i_verdict <-
-                Viol
-                  {
-                    at = idx;
-                    tid = Some (Event.tid ev);
-                    failed = Fmt.str "%a" pp_f (blame inst.state ev);
-                    detail = inst.detail_of ();
-                  };
-            inst.state <- st
-          | Pending | Sat | Viol _ -> ())
-        t.insts
+      List.iter (progress t ev)
+        (match t.hook with None -> t.insts | Some h -> h t ev)
     end;
     t.n_fed <- t.n_fed + 1
   end
@@ -310,115 +305,67 @@ let finish t =
 
 (* --------------------------------------------- built-in: lock reversal *)
 
-(* Dynamic twin of the static {!Vyrd_analysis.Lockgraph}: per unordered lock
-   pair, remember the first acquisition witness per distinct thread in each
-   direction (bounded like the lockgraph's per-edge cap), and convict the
-   moment both directions have witnesses on distinct threads with no common
-   gate lock held across both — the same two suppressions, so the two
-   analyses agree on two-lock cycles by construction. *)
+(* A view over the incremental {!Vyrd_analysis.Lockgraph} engine: when an
+   edge [src -> dst] accepts a witness, look for a partner among the reverse
+   edge's witnesses — another thread, and no gate lock outside the pair held
+   across both.  That is Lockgraph's own rule for a reportable two-lock
+   cycle, and a pair can only become reportable when one of its edges
+   accepts a witness, so the pack convicts exactly the two-lock cycles
+   Lockgraph reports, at the acquire that completes them.  A pair's
+   instance is created only when it is convicted: one that never is cannot
+   change any verdict. *)
 
-type lr_wit = { w_idx : int; w_tid : Tid.t; w_held : string list }
+module Lockgraph = Vyrd_analysis.Lockgraph
 
-type lr_pair = {
-  mutable fwd : lr_wit list;  (* acquired [hi] while holding [lo] *)
-  mutable bwd : lr_wit list;  (* acquired [lo] while holding [hi] *)
-  mutable convicted : bool;
-}
+let describe (earlier : Lockgraph.witness) earlier_dst (now : Lockgraph.witness)
+    now_dst =
+  Fmt.str "%s acquired %s @%d holding {%s}; %s acquired %s @%d holding {%s}"
+    (Tid.to_string earlier.tid) earlier_dst earlier.index
+    (String.concat ", " earlier.held)
+    (Tid.to_string now.tid) now_dst now.index
+    (String.concat ", " now.held)
 
-let max_witnesses_per_dir = 8 (* = Lockgraph.max_witnesses_per_edge *)
+(* The atom of a [reversal(lo,hi)] instance: the pair is convicted by the
+   current event.  The instance is created and woken at that event only, so
+   the atom holds whenever it is read. *)
+let convicted_now (_ : Event.t) = true
 
 let lock_reversal () =
-  (* per-thread held locksets with reentrancy depths, as in the lockgraph *)
-  let held : (Tid.t, (string * int) list) Hashtbl.t = Hashtbl.create 8 in
-  let pairs : (string * string, lr_pair) Hashtbl.t = Hashtbl.create 8 in
-  let flag = ref None (* pair convicted by the current event, if any *) in
-  let last_detail = ref None in
-  let describe (earlier : lr_wit) earlier_dst (now : lr_wit) now_dst =
-    Fmt.str
-      "%s acquired %s @%d holding {%s}; %s acquired %s @%d holding {%s}"
-      (Tid.to_string earlier.w_tid) earlier_dst earlier.w_idx
-      (String.concat ", " earlier.w_held)
-      (Tid.to_string now.w_tid) now_dst now.w_idx
-      (String.concat ", " now.w_held)
+  let convicted : (string * string, unit) Hashtbl.t = Hashtbl.create 8 in
+  let now = ref [] (* (name, detail) of pairs convicted by this event *) in
+  let on_witness ~src ~dst (w : Lockgraph.witness) ~reverse =
+    let ((lo, hi) as pair) = if src < dst then (src, dst) else (dst, src) in
+    if not (Hashtbl.mem convicted pair) then
+      let gated (w' : Lockgraph.witness) =
+        List.exists (fun l -> l <> lo && l <> hi && List.mem l w'.held) w.held
+      in
+      match
+        List.find_opt
+          (fun (w' : Lockgraph.witness) ->
+            (not (Tid.equal w'.tid w.tid)) && not (gated w'))
+          reverse
+      with
+      | None -> ()
+      | Some w' ->
+        Hashtbl.add convicted pair ();
+        now :=
+          (Fmt.str "reversal(%s,%s)" lo hi, describe w' src w dst) :: !now
   in
-  let spawn t ((lo, hi) as key) =
-    let name = Fmt.str "reversal(%s,%s)" lo hi in
-    ignore
-      (add_instance t ~name
-         ~relevant:(fun () -> !flag = Some key)
-         ~detail_of:(fun () -> !last_detail)
-         (always (not_ (atom name (fun _ -> !flag = Some key)))))
-  in
+  let graph = Lockgraph.create ~on_witness () in
   let hook t ev =
-    flag := None;
-    match ev with
-    | Event.Acquire { tid; lock } ->
-      let hs = Option.value ~default:[] (Hashtbl.find_opt held tid) in
-      (match List.assoc_opt lock hs with
-      | Some d ->
-        (* reentrant: no new ordering information *)
-        Hashtbl.replace held tid
-          (List.map (fun (l, n) -> if l = lock then (l, d + 1) else (l, n)) hs)
-      | None ->
-        let held_names = List.map fst hs in
-        let idx = t.n_fed in
-        List.iter
-          (fun src ->
-            let key = if src < lock then (src, lock) else (lock, src) in
-            let p =
-              match Hashtbl.find_opt pairs key with
-              | Some p -> p
-              | None ->
-                let p = { fwd = []; bwd = []; convicted = false } in
-                Hashtbl.add pairs key p;
-                spawn t key;
-                p
-            in
-            let forward = src = fst key in
-            let mine, theirs = if forward then (p.fwd, p.bwd) else (p.bwd, p.fwd) in
-            if
-              (not (List.exists (fun w -> Tid.equal w.w_tid tid) mine))
-              && List.length mine < max_witnesses_per_dir
-            then begin
-              let w = { w_idx = idx; w_tid = tid; w_held = held_names } in
-              if forward then p.fwd <- p.fwd @ [ w ] else p.bwd <- p.bwd @ [ w ];
-              if not p.convicted then
-                (* gate suppression: a lock outside the pair held across
-                   both witnesses serializes the pattern *)
-                let lo, hi = key in
-                let gates a b =
-                  List.filter
-                    (fun l -> l <> lo && l <> hi && List.mem l b.w_held)
-                    a.w_held
-                in
-                match
-                  List.find_opt
-                    (fun w' ->
-                      (not (Tid.equal w'.w_tid tid)) && gates w w' = [])
-                    theirs
-                with
-                | Some w' ->
-                  p.convicted <- true;
-                  flag := Some key;
-                  (* the opposite direction acquired the other lock of the pair *)
-                  let dst_theirs = if forward then lo else hi in
-                  last_detail := Some (describe w' dst_theirs w lock)
-                | None -> ()
-            end)
-          held_names;
-        Hashtbl.replace held tid ((lock, 1) :: hs))
-    | Event.Release { tid; lock } ->
-      let hs = Option.value ~default:[] (Hashtbl.find_opt held tid) in
-      (match List.assoc_opt lock hs with
-      | Some d when d > 1 ->
-        Hashtbl.replace held tid
-          (List.map (fun (l, n) -> if l = lock then (l, d - 1) else (l, n)) hs)
-      | Some _ -> Hashtbl.replace held tid (List.remove_assoc lock hs)
-      | None -> () (* unmatched release: the linter reports those *))
-    | _ -> ()
+    Lockgraph.feed_at graph t.n_fed ev;
+    let woken =
+      List.rev_map
+        (fun (name, detail) ->
+          add_instance t
+            ~detail_of:(fun () -> Some detail)
+            (always (not_ (atom name convicted_now))))
+        !now
+    in
+    now := [];
+    woken
   in
-  { m_name = "lock-reversal"; insts = []; n_fed = 0; interest = lock_events;
-    hook = Some hook; finished = false }
+  make "lock-reversal" ~interest:lock_events ~hook
 
 (* ---------------------------------------------- built-in: resource leak *)
 
@@ -428,13 +375,18 @@ type rl_lock = {
   mutable acq_idx : int;
 }
 
+(* [leak(l)] is [always (acquire(l) -> eventually release(l))], where
+   [acquire(l)] is the outermost acquire of [l] and [release(l)] its final
+   release.  The hook wakes [leak(l)] at exactly those two events, so the
+   atoms only need the event's kind. *)
+let is_acquire = function Event.Acquire _ -> true | _ -> false
+let is_release = function Event.Release _ -> true | _ -> false
+
 let resource_leak () =
-  let locks : (string, rl_lock) Hashtbl.t = Hashtbl.create 8 in
-  (* per-event atom inputs, set by the hook before progression *)
-  let outer_acq = ref None and final_rel = ref None in
+  let locks : (string, rl_lock * instance) Hashtbl.t = Hashtbl.create 8 in
   let still_held () =
     Hashtbl.fold
-      (fun name lk acc ->
+      (fun name (lk, _) acc ->
         if lk.depth > 0 then
           Fmt.str "%s (%s, acquired @%d)" name
             (match lk.holder with Some t -> Tid.to_string t | None -> "?")
@@ -449,51 +401,47 @@ let resource_leak () =
     | [] -> None
     | held -> Some ("still held at end: " ^ String.concat ", " held)
   in
-  let spawn t lock lk =
-    let acq = atom (Fmt.str "acquire(%s)" lock) (fun _ -> !outer_acq = Some lock) in
-    let rel = atom (Fmt.str "release(%s)" lock) (fun _ -> !final_rel = Some lock) in
-    ignore
-      (add_instance t
-         ~name:(Fmt.str "leak(%s)" lock)
-         ~relevant:(fun () -> !outer_acq = Some lock || !final_rel = Some lock)
-         ~detail_of
-         ~anchor:(fun () ->
-           if lk.depth > 0 then Some (lk.acq_idx, lk.holder) else None)
-         (always (implies acq (eventually rel))))
+  let spawn t lock =
+    let lk = { depth = 0; holder = None; acq_idx = 0 } in
+    let acq = atom (Fmt.str "acquire(%s)" lock) is_acquire in
+    let rel = atom (Fmt.str "release(%s)" lock) is_release in
+    let inst =
+      add_instance t ~detail_of
+        ~anchor:(fun () ->
+          if lk.depth > 0 then Some (lk.acq_idx, lk.holder) else None)
+        (always (implies acq (eventually rel)))
+    in
+    Hashtbl.add locks lock (lk, inst);
+    (lk, inst)
   in
   let hook t ev =
-    outer_acq := None;
-    final_rel := None;
     match ev with
     | Event.Acquire { tid; lock } ->
-      let lk =
+      let lk, inst =
         match Hashtbl.find_opt locks lock with
-        | Some lk -> lk
-        | None ->
-          let lk = { depth = 0; holder = None; acq_idx = 0 } in
-          Hashtbl.add locks lock lk;
-          spawn t lock lk;
-          lk
+        | Some li -> li
+        | None -> spawn t lock
       in
-      if lk.depth = 0 then begin
+      lk.depth <- lk.depth + 1;
+      if lk.depth > 1 then []
+      else begin
         lk.holder <- Some tid;
         lk.acq_idx <- t.n_fed;
-        outer_acq := Some lock
-      end;
-      lk.depth <- lk.depth + 1
+        [ inst ]
+      end
     | Event.Release { lock; _ } -> (
       match Hashtbl.find_opt locks lock with
-      | Some lk when lk.depth > 0 ->
+      | Some (lk, inst) when lk.depth > 0 ->
         lk.depth <- lk.depth - 1;
-        if lk.depth = 0 then begin
+        if lk.depth > 0 then []
+        else begin
           lk.holder <- None;
-          final_rel := Some lock
+          [ inst ]
         end
-      | Some _ | None -> ())
-    | _ -> ()
+      | Some _ | None -> [])
+    | _ -> []
   in
-  { m_name = "resource-leak"; insts = []; n_fed = 0; interest = lock_events;
-    hook = Some hook; finished = false }
+  make "resource-leak" ~interest:lock_events ~hook
 
 let builtins () = [ lock_reversal (); resource_leak () ]
 let builtin_names = [ "lock-reversal"; "resource-leak" ]
@@ -735,6 +683,8 @@ let pass ?metrics monitors =
         | Some reg ->
           let add n v = Metrics.add (Metrics.counter reg n) v in
           add "analysis.monitor_events" !fed_events;
+          add "analysis.monitor_progressions"
+            (List.fold_left (fun n m -> n + m.progressions) 0 monitors);
           add "analysis.monitor_violations" (List.length diags);
           List.iter
             (fun m ->

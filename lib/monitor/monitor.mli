@@ -10,9 +10,9 @@
     semantics: a pending [eventually] fails, a pending [always] succeeds).
 
     Two built-in property packs are compiled from the combinators:
-    {!lock_reversal} (the dynamic twin of the static {!Vyrd_analysis.Lockgraph},
-    with the same gate-lock and single-thread suppressions) and
-    {!resource_leak} ([always (acquire -> eventually release)] per lock).
+    {!lock_reversal} (a view over an incremental {!Vyrd_analysis.Lockgraph}
+    engine) and {!resource_leak} ([always (acquire -> eventually release)]
+    per lock).  A pack progresses only the instances its event hook wakes.
     {!pass} adapts any monitor set to the {!Vyrd_analysis.Pass} interface so
     the farm's analysis lane, [pipeline --monitor] and vyrdd sessions all run
     them; {!first_violation} composes monitors with {!Vyrd_sched.Explore} so
@@ -100,8 +100,9 @@ val violations : t -> witness list
 
 (** Lock-acquisition-order reversal: order [l1 < l2] observed, later
     [l2 < l1] — convicted only from witnesses on distinct threads with no
-    common gate lock held across both, matching {!Vyrd_analysis.Lockgraph}
-    on two-lock cycles. *)
+    common gate lock held across both.  It convicts exactly the two-lock
+    cycles {!Vyrd_analysis.Lockgraph} reports, each at the acquire that
+    completes it, one violation [!reversal(lo,hi)] per pair. *)
 val lock_reversal : unit -> t
 
 (** [always (acquire -> eventually release)] per lock, reentrancy-aware;
@@ -131,8 +132,10 @@ val of_spec : string -> (t, string) result
 (** [pass ?metrics monitors] runs [monitors] as one {!Vyrd_analysis.Pass}
     named ["monitor"]: every violation becomes an [`Error] diagnostic at
     the witness index.  At finish, publishes [analysis.monitor_events],
-    [analysis.monitor_violations], per-verdict counters and a per-monitor
-    violation counter into [metrics]. *)
+    [analysis.monitor_violations], [analysis.monitor_progressions]
+    (instance progression steps, a deterministic cost counter),
+    per-verdict counters and a per-monitor violation counter into
+    [metrics]. *)
 val pass : ?metrics:Vyrd_pipeline.Metrics.t -> t list -> Vyrd_analysis.Pass.t
 
 (** {1 Schedule search} *)

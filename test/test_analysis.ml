@@ -449,6 +449,23 @@ let test_lockgraph_reentrant_and_levels () =
   Alcotest.(check bool) "`View log trivially clean" true (Lockgraph.ok r);
   Alcotest.(check int) "no locks seen" 0 r.Lockgraph.locks
 
+let test_lockgraph_reentrant_keeps_held_order () =
+  (* a reentrant acquire updates the lock's depth where it stands: held
+     lists stay innermost-first by outermost acquire *)
+  let r =
+    lockgraph [ ev_acq 1 "a"; ev_acq 1 "b"; ev_acq 1 "a"; ev_acq 1 "c" ]
+  in
+  match
+    List.find_opt
+      (fun (e : Lockgraph.edge) -> e.Lockgraph.src = "b" && e.Lockgraph.dst = "c")
+      r.Lockgraph.graph
+  with
+  | Some { Lockgraph.witnesses = [ w ]; _ } ->
+    Alcotest.(check (list string)) "held on b->c" [ "b"; "a" ] w.Lockgraph.held;
+    Alcotest.(check int) "witness index" 3 w.Lockgraph.index
+  | Some _ -> Alcotest.fail "b->c should carry exactly one witness"
+  | None -> Alcotest.fail "no b->c edge"
+
 let prop_lockgraph_single_threaded_clean =
   QCheck.Test.make ~count:300 ~name:"single-threaded logs have no lock cycles"
     single_threaded_events (fun evs ->
@@ -602,6 +619,8 @@ let suite =
     ("lockgraph: gate-lock suppression", `Quick, test_lockgraph_gate_suppression);
     ("lockgraph: single-thread suppression", `Quick, test_lockgraph_single_thread_suppression);
     ("lockgraph: reentrancy and level tolerance", `Quick, test_lockgraph_reentrant_and_levels);
+    ("lockgraph: reentrant acquire keeps held order", `Quick,
+     test_lockgraph_reentrant_keeps_held_order);
     QCheck_alcotest.to_alcotest prop_lockgraph_single_threaded_clean;
     QCheck_alcotest.to_alcotest prop_lockgraph_disjoint_threads_clean;
     QCheck_alcotest.to_alcotest prop_lockgraph_stable_under_reorder;

@@ -1,6 +1,8 @@
 (* Temporal-property monitors: differential qcheck of the incremental
    progression engine against the reference whole-trace evaluator,
-   agreement of the lock-reversal pack with the static lock-order graph,
+   agreement of the lock-reversal pack with the static lock-order graph
+   (single-pair traces, and many-lock traces against a prefix-by-prefix
+   Lockgraph oracle), the leak pack against a depth oracle,
    the built-in packs' unit behavior, the spec parser, Explore
    composition, histogram-quantile properties and the negative-observe
    clamp counter, and the vyrdd SIGUSR1 regression (metrics dumps must
@@ -177,6 +179,171 @@ let prop_lock_reversal_matches_lockgraph =
       in
       monitor_convicts = graph_convicts)
 
+(* Many-lock traces: 2-4 threads, each running sessions of nested acquires
+   (depth <= 5) over up to six locks, with reentrant re-acquires, releases
+   of any held lock (not only the innermost), stray releases of locks the
+   thread does not hold, and an optional gate lock "g" held outermost; the
+   threads' programs are interleaved by a random schedule.  A trace may
+   leave its last sessions' locks held. *)
+let gen_many_lock_trace =
+  let open QCheck.Gen in
+  let session nlocks =
+    pair bool (list_size (int_range 1 10) (pair (int_bound 8) (int_bound (nlocks - 1))))
+  in
+  let program ~leave_open tid sessions =
+    let lock k = Printf.sprintf "l%d" k in
+    let evs = ref [] in
+    let emit ev = evs := ev :: !evs in
+    let last = List.length sessions - 1 in
+    List.iteri
+      (fun i (gated, steps) ->
+        let held = ref [] in
+        if gated then emit (Event.Acquire { tid; lock = "g" });
+        List.iter
+          (fun (op, k) ->
+            if op <= 4 then begin
+              if List.length !held < 5 then begin
+                emit (Event.Acquire { tid; lock = lock k });
+                held := lock k :: !held
+              end
+            end
+            else if op <= 7 then begin
+              match !held with
+              | [] -> ()
+              | hs ->
+                let l = List.nth hs (k mod List.length hs) in
+                emit (Event.Release { tid; lock = l });
+                let rec drop = function
+                  | [] -> []
+                  | x :: r -> if x = l then r else x :: drop r
+                in
+                held := drop hs
+            end
+            else if not (List.mem (lock k) !held) then
+              emit (Event.Release { tid; lock = lock k }))
+          steps;
+        if not (leave_open && i = last) then begin
+          List.iter (fun l -> emit (Event.Release { tid; lock = l })) !held;
+          if gated then emit (Event.Release { tid; lock = "g" })
+        end)
+      sessions;
+    List.rev !evs
+  in
+  int_range 2 4 >>= fun nthreads ->
+  int_range 2 6 >>= fun nlocks ->
+  bool >>= fun leave_open ->
+  list_repeat nthreads (list_size (int_range 1 4) (session nlocks))
+  >>= fun programs ->
+  list_size (int_bound 300) (int_bound 1000) >|= fun schedule ->
+  let queues =
+    Array.of_list (List.mapi (fun i p -> program ~leave_open (i + 1) p) programs)
+  in
+  let out = ref [] in
+  let take i =
+    match queues.(i) with
+    | ev :: rest ->
+      out := ev :: !out;
+      queues.(i) <- rest
+    | [] -> ()
+  in
+  List.iter (fun c -> take (c mod nthreads)) schedule;
+  Array.iteri (fun i _ -> while queues.(i) <> [] do take i done) queues;
+  List.rev !out
+
+let many_lock_trace =
+  QCheck.make
+    ~print:(fun evs -> Fmt.str "[%a]" Fmt.(list ~sep:semi Event.pp) evs)
+    gen_many_lock_trace
+
+let two_cycles (r : Lockgraph.result) =
+  List.filter_map
+    (fun (c : Lockgraph.cycle) ->
+      match c.Lockgraph.locks with [ a; b ] -> Some (a, b) | _ -> None)
+    r.Lockgraph.cycles
+  |> List.sort compare
+
+(* The pack convicts exactly the two-lock cycles Lockgraph reports, each at
+   the acquire ending the shortest prefix whose Lockgraph analysis reports
+   it.  The oracle re-analyzes every prefix from scratch, so it goes through
+   Lockgraph's own cycle enumeration and witness selection, not through the
+   incremental acceptance hook the pack is built on. *)
+let prop_lock_reversal_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"lock-reversal monitor = lockgraph 2-cycles at the first prefix"
+    many_lock_trace (fun evs ->
+      let m = Monitor.lock_reversal () in
+      List.iter (Monitor.feed m) evs;
+      ignore (Monitor.finish m);
+      let got =
+        List.map
+          (fun (w : Monitor.witness) ->
+            ( Scanf.sscanf w.Monitor.failed "!reversal(%[^,],%[^)])" (fun a b ->
+                  (a, b)),
+              w.Monitor.at ))
+          (Monitor.violations m)
+        |> List.sort compare
+      in
+      let trace = Array.of_list evs in
+      let first = Hashtbl.create 8 in
+      Array.iteri
+        (fun i ev ->
+          match ev with
+          | Event.Acquire _ ->
+            let prefix = Array.to_list (Array.sub trace 0 (i + 1)) in
+            List.iter
+              (fun p -> if not (Hashtbl.mem first p) then Hashtbl.add first p i)
+              (two_cycles (Lockgraph.analyze (Log.of_events prefix)))
+          | _ -> ())
+        trace;
+      let expected =
+        Hashtbl.fold (fun p at acc -> (p, at) :: acc) first []
+        |> List.sort compare
+      in
+      got = expected
+      && List.map fst got = two_cycles (Lockgraph.analyze (Log.of_events evs)))
+
+(* The leak pack convicts iff some lock's depth is positive at the end (any
+   thread's release lowers it; releases at depth 0 are ignored), once per
+   such lock, anchored at the acquire that took it from depth 0 last. *)
+let prop_resource_leak_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"resource-leak convicts the locks held at the end"
+    many_lock_trace (fun evs ->
+      let depth = Hashtbl.create 8 and outer = Hashtbl.create 8 in
+      let d l = Option.value ~default:0 (Hashtbl.find_opt depth l) in
+      List.iteri
+        (fun i ev ->
+          match ev with
+          | Event.Acquire { tid; lock } ->
+            if d lock = 0 then Hashtbl.replace outer lock (i, tid);
+            Hashtbl.replace depth lock (d lock + 1)
+          | Event.Release { lock; _ } ->
+            if d lock > 0 then Hashtbl.replace depth lock (d lock - 1)
+          | _ -> ())
+        evs;
+      let expected =
+        Hashtbl.fold
+          (fun l n acc -> if n > 0 then Hashtbl.find outer l :: acc else acc)
+          depth []
+        |> List.sort compare
+      in
+      let m = Monitor.resource_leak () in
+      List.iter (Monitor.feed m) evs;
+      let verdict_ok =
+        match Monitor.finish m with
+        | Monitor.Viol _ -> expected <> []
+        | Monitor.Sat -> expected = []
+        | Monitor.Pending -> false
+      in
+      let got =
+        List.map
+          (fun (w : Monitor.witness) ->
+            (w.Monitor.at, Option.value ~default:(-1) w.Monitor.tid))
+          (Monitor.violations m)
+        |> List.sort compare
+      in
+      verdict_ok && got = expected)
+
 (* --- built-in pack unit behavior ----------------------------------------- *)
 
 let reversal_trace =
@@ -208,6 +375,59 @@ let test_lock_reversal_convicts () =
     Alcotest.(check (option int)) "witness thread" (Some 2) w.Monitor.tid
   | Monitor.Sat | Monitor.Pending ->
     Alcotest.fail "reversal not convicted"
+
+(* One acquire can complete two reversals: T2's acquire of z at index 8
+   reverses both x<z and y<z, so both pairs are convicted there, each with
+   its own witness. *)
+let test_lock_reversal_two_pairs_one_acquire () =
+  let acq tid lock = Event.Acquire { tid; lock } in
+  let rel tid lock = Event.Release { tid; lock } in
+  let m = Monitor.lock_reversal () in
+  List.iter (Monitor.feed m)
+    [
+      acq 1 "z"; acq 1 "x"; rel 1 "x"; acq 1 "y"; rel 1 "y"; rel 1 "z";
+      acq 2 "x"; acq 2 "y"; acq 2 "z"; rel 2 "z"; rel 2 "y"; rel 2 "x";
+    ];
+  ignore (Monitor.finish m);
+  let vs = Monitor.violations m in
+  Alcotest.(check int) "two violations" 2 (List.length vs);
+  List.iter
+    (fun (w : Monitor.witness) ->
+      Alcotest.(check int) "at the acquire of z" 8 w.Monitor.at;
+      Alcotest.(check (option int)) "by T2" (Some 2) w.Monitor.tid)
+    vs;
+  Alcotest.(check (list (pair string (option string))))
+    "one witness per pair"
+    [
+      ( "!reversal(x,z)",
+        Some "T1 acquired x @1 holding {z}; T2 acquired z @8 holding {y, x}" );
+      ( "!reversal(y,z)",
+        Some "T1 acquired y @3 holding {z}; T2 acquired z @8 holding {y, x}" );
+    ]
+    (List.sort compare
+       (List.map
+          (fun (w : Monitor.witness) -> (w.Monitor.failed, w.Monitor.detail))
+          vs))
+
+(* [Monitor.pass] counts instance progressions: the leak pack moves a
+   lock's instance only at its outermost acquire and final release, the
+   reversal pack only at a conviction. *)
+let test_progressions_counted () =
+  let metrics = Metrics.create () in
+  let p = Monitor.pass ~metrics (Monitor.builtins ()) in
+  List.iter p.Vyrd_analysis.Pass.feed
+    [
+      Event.Acquire { tid = 1; lock = "a" };
+      Event.Acquire { tid = 1; lock = "a" };
+      Event.Acquire { tid = 1; lock = "b" };
+      Event.Release { tid = 1; lock = "b" };
+      Event.Release { tid = 1; lock = "a" };
+      Event.Release { tid = 1; lock = "a" };
+      Event.Commit { tid = 1 };
+    ];
+  ignore (p.Vyrd_analysis.Pass.finish ());
+  Alcotest.(check int) "four leak progressions, no reversal ones" 4
+    (Metrics.value (Metrics.counter metrics "analysis.monitor_progressions"))
 
 let test_lock_reversal_gate_suppressed () =
   let gate tid body =
@@ -556,7 +776,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_verdict_sticky;
     QCheck_alcotest.to_alcotest prop_witness_in_range;
     QCheck_alcotest.to_alcotest prop_lock_reversal_matches_lockgraph;
+    QCheck_alcotest.to_alcotest prop_lock_reversal_oracle;
+    QCheck_alcotest.to_alcotest prop_resource_leak_oracle;
     ("lock-reversal convicts with witness", `Quick, test_lock_reversal_convicts);
+    ("two reversals convicted at one acquire", `Quick,
+     test_lock_reversal_two_pairs_one_acquire);
+    ("monitor pass counts progressions", `Quick, test_progressions_counted);
     ("gate lock suppresses the reversal", `Quick,
      test_lock_reversal_gate_suppressed);
     ("single thread suppresses the reversal", `Quick,
